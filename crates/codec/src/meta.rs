@@ -313,6 +313,19 @@ mod tests {
     }
 
     #[test]
+    fn sidecar_bytes_match_the_pinned_golden() {
+        // Written by the bitwise CRC-32 this format shipped with: sidecars
+        // already on disk must keep parsing, byte for byte.
+        let meta = SegmentMeta {
+            frame_count: 3,
+            first_index: 30,
+            entries: vec![(31, 1.5), (32, 0.25)],
+        };
+        let hex: String = meta.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "56534d45544101031e021f0000c03f200000803e8c1e4565");
+    }
+
+    #[test]
     fn corruption_is_detected() {
         let meta = SegmentMeta::from_segment(&segment(Dataset::Jackson, 20)).unwrap();
         let good = meta.to_bytes();

@@ -5,6 +5,11 @@
 //! with these helpers. Every reader method returns a typed error instead of
 //! panicking so corrupt on-disk data surfaces as
 //! [`VStoreError::Corruption`].
+//!
+//! It also holds the tree's one CRC-32 ([`crc32`], streaming [`Crc32`]),
+//! a table-driven slice-by-16. Its three users are value-log records
+//! (`vstore-storage`'s `log.rs`), cold-tier chunk objects (`tier/cold.rs`)
+//! and `VSMETA` sidecars ([`crate::meta`]).
 
 use vstore_types::{cast, Result, VStoreError};
 
@@ -220,17 +225,100 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// A simple CRC-32 (IEEE polynomial, bitwise) used to guard stored records.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Lookup tables for slice-by-16 CRC-32: `CRC_TABLES[k][b]` is the CRC
+/// register after feeding byte `b` followed by `k` zero bytes, so sixteen
+/// input bytes fold into the register with sixteen independent lookups.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+/// Build [`CRC_TABLES`] at compile time for the reflected IEEE polynomial.
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32; // vstore-lint: allow(checked-cast) — i < 256
+        let mut k = 0;
+        while k < 16 {
+            // Eight register shifts feed one byte: `i` itself for table
+            // 0, then one more zero byte per table.
+            let mut bit = 0;
+            while bit < 8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                bit += 1;
+            }
+            tables[k][i] = crc;
+            k += 1;
         }
+        i += 1;
     }
-    !crc
+    tables
+}
+
+/// Streaming CRC-32 (IEEE): feed bytes with [`update`](Self::update) in
+/// as many pieces as convenient, then read the checksum with
+/// [`finish`](Self::finish). Any split of the input gives the same result
+/// as one [`crc32`] call over the whole.
+///
+/// The polynomial, initial value and final xor are fixed by the checksums
+/// already on disk (value-log records, cold chunks, `VSMETA` sidecars) and
+/// must not change.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Crc32 {
+    /// A fresh checksum over no bytes.
+    pub const fn new() -> Self {
+        Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    /// Feed `data` into the checksum.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let (blocks, tail) = data.as_chunks::<16>();
+        for b in blocks {
+            let c = crc.to_le_bytes();
+            crc = t[15][usize::from(b[0] ^ c[0])]
+                ^ t[14][usize::from(b[1] ^ c[1])]
+                ^ t[13][usize::from(b[2] ^ c[2])]
+                ^ t[12][usize::from(b[3] ^ c[3])]
+                ^ t[11][usize::from(b[4])]
+                ^ t[10][usize::from(b[5])]
+                ^ t[9][usize::from(b[6])]
+                ^ t[8][usize::from(b[7])]
+                ^ t[7][usize::from(b[8])]
+                ^ t[6][usize::from(b[9])]
+                ^ t[5][usize::from(b[10])]
+                ^ t[4][usize::from(b[11])]
+                ^ t[3][usize::from(b[12])]
+                ^ t[2][usize::from(b[13])]
+                ^ t[1][usize::from(b[14])]
+                ^ t[0][usize::from(b[15])];
+        }
+        for &byte in tail {
+            crc = (crc >> 8) ^ t[0][usize::from(crc.to_le_bytes()[0] ^ byte)];
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of every byte fed so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
+}
+
+/// One-shot CRC-32 (IEEE) of `data`; see [`Crc32`].
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
 }
 
 #[cfg(test)]
@@ -329,6 +417,66 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_ne!(crc32(b"123456780"), crc32(b"123456789"));
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-at-a-time CRC-32 every stored checksum was first written
+    /// with: the table-driven form must agree with it byte for byte.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[0]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_at_every_length_and_alignment() {
+        let data = noise(1024 + 16, 7);
+        for len in 0..=1024 {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_bitwise(&data[..len]),
+                "len {len}"
+            );
+        }
+        for start in 0..16 {
+            let piece = &data[start..start + 1000];
+            assert_eq!(crc32(piece), crc32_bitwise(piece), "start {start}");
+        }
+        let big = noise(3 << 20, 11);
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
+    }
+
+    #[test]
+    fn crc32_streaming_equals_one_shot_at_any_split() {
+        let data = noise(300, 3);
+        let whole = crc32(&data);
+        for a in 0..data.len() {
+            for b in (a..data.len()).step_by(17) {
+                let mut crc = Crc32::new();
+                crc.update(&data[..a]);
+                crc.update(&data[a..b]);
+                crc.update(&data[b..]);
+                assert_eq!(crc.finish(), whole, "split {a}/{b}");
+            }
+        }
+        assert_eq!(Crc32::default().finish(), crc32(b""));
     }
 
     #[test]

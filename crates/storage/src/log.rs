@@ -18,7 +18,9 @@
 //! plus an open append handle, and never touches the filesystem directly.
 
 use crate::backend::{LogHandle, StorageBackend};
+use std::ops::Range;
 use std::sync::Arc;
+use vstore_codec::wire::Crc32;
 use vstore_types::cast::{u32_from_usize, usize_from_u64};
 use vstore_types::{Result, VStoreError};
 
@@ -48,24 +50,13 @@ pub struct LogRecord {
 /// really are that long, so the CRC can never cover silently truncated
 /// length fields.
 fn record_crc(flags: u8, klen: u32, vlen: u32, key: &[u8], value: &[u8]) -> u32 {
-    // Reuse the same polynomial as the codec's wire module, implemented
-    // locally to avoid a dependency edge from storage to codec.
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut feed = |data: &[u8]| {
-        for &byte in data {
-            crc ^= u32::from(byte);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    };
-    feed(&[flags]);
-    feed(&klen.to_le_bytes());
-    feed(&vlen.to_le_bytes());
-    feed(key);
-    feed(value);
-    !crc
+    let mut crc = Crc32::new();
+    crc.update(&[flags]);
+    crc.update(&klen.to_le_bytes());
+    crc.update(&vlen.to_le_bytes());
+    crc.update(key);
+    crc.update(value);
+    crc.finish()
 }
 
 /// On-disk size of a record with the given key/value lengths.
@@ -194,10 +185,13 @@ impl LogFile {
         offset: u64,
         total_len: u64,
     ) -> Result<Vec<u8>> {
-        let buf = backend.read_at(name, offset, total_len)?;
-        let record = parse_record(&buf, offset)?
+        let mut buf = backend.read_at(name, offset, total_len)?;
+        let frame = check_record(&buf, offset)?
             .ok_or_else(|| VStoreError::corruption("record truncated on read"))?;
-        Ok(record.value)
+        // Hand back the read buffer itself, cut down to the value.
+        buf.truncate(frame.value.end);
+        buf.drain(..frame.value.start);
+        Ok(buf)
     }
 
     /// Parse the complete records contained in an in-memory buffer whose
@@ -207,17 +201,19 @@ impl LogFile {
         let mut records = Vec::new();
         let mut offset = 0usize;
         while offset < buf.len() {
-            match parse_record(&buf[offset..], base_offset + offset as u64)? {
-                Some(record) => {
-                    // parse_record only returns records fully contained in
-                    // the buffer, so the length always fits a usize.
-                    let advance = usize_from_u64(record.total_len, "log record length")
-                        .map_err(|e| VStoreError::corruption(e.to_string()))?;
-                    records.push(record);
-                    offset += advance;
-                }
-                None => break,
-            }
+            let rest = &buf[offset..];
+            let record_offset = base_offset + offset as u64;
+            let Some(frame) = check_record(rest, record_offset)? else {
+                break;
+            };
+            offset += frame.total_len;
+            records.push(LogRecord {
+                offset: record_offset,
+                total_len: frame.total_len as u64,
+                key: rest[frame.key].to_vec(),
+                value: rest[frame.value].to_vec(),
+                is_tombstone: frame.is_tombstone,
+            });
         }
         Ok(records)
     }
@@ -233,9 +229,18 @@ impl LogFile {
     }
 }
 
-/// Parse one record from the start of `buf`; `Ok(None)` means the buffer
-/// ends in a truncated record (torn tail).
-fn parse_record(buf: &[u8], offset: u64) -> Result<Option<LogRecord>> {
+/// Where a checked record's parts sit in the buffer it was checked in.
+struct RecordFrame {
+    total_len: usize,
+    key: Range<usize>,
+    value: Range<usize>,
+    is_tombstone: bool,
+}
+
+/// Check the framing and CRC of the record at the start of `buf`;
+/// `Ok(None)` means the buffer ends in a truncated or CRC-failing record
+/// (torn tail).
+fn check_record(buf: &[u8], offset: u64) -> Result<Option<RecordFrame>> {
     const HEADER: usize = 4 + 1 + 4 + 4;
     if buf.len() < HEADER {
         return Ok(None);
@@ -260,25 +265,21 @@ fn parse_record(buf: &[u8], offset: u64) -> Result<Option<LogRecord>> {
     let to_len =
         |v: u64, what| usize_from_u64(v, what).map_err(|e| VStoreError::corruption(e.to_string()));
     let total = to_len(total, "log record length")?;
-    let (klen_wire, vlen_wire) = (klen, vlen);
-    let klen = to_len(u64::from(klen), "log record key length")?;
-    let vlen = to_len(u64::from(vlen), "log record value length")?;
-    let key = buf[HEADER..HEADER + klen].to_vec();
-    let value = buf[HEADER + klen..HEADER + klen + vlen].to_vec();
+    let key = HEADER..HEADER + to_len(u64::from(klen), "log record key length")?;
+    let value = key.end..key.end + to_len(u64::from(vlen), "log record value length")?;
     let stored_crc = u32::from_le_bytes([
         buf[total - 4],
         buf[total - 3],
         buf[total - 2],
         buf[total - 1],
     ]);
-    if stored_crc != record_crc(flags, klen_wire, vlen_wire, &key, &value) {
+    if stored_crc != record_crc(flags, klen, vlen, &buf[key.clone()], &buf[value.clone()]) {
         // A CRC mismatch on the last record is a torn write; report it as a
         // torn tail rather than corruption so recovery keeps earlier data.
         return Ok(None);
     }
-    Ok(Some(LogRecord {
-        offset,
-        total_len: total as u64,
+    Ok(Some(RecordFrame {
+        total_len: total,
         key,
         value,
         is_tombstone: flags & FLAG_TOMBSTONE != 0,
@@ -387,6 +388,47 @@ mod tests {
             assert_eq!(records.len(), 1, "corrupt record should not be returned");
             cleanup(dir);
         }
+    }
+
+    #[test]
+    fn random_read_rejects_a_corrupted_or_misaddressed_record() {
+        for (backend, dir) in backends("read-crc") {
+            let mut log = LogFile::create(Arc::clone(&backend), "", 1).unwrap();
+            let (off1, len1) = log.append(b"k1", b"v1", false).unwrap();
+            let (off2, len2) = log.append(b"k2", b"AAAAAAAA", false).unwrap();
+            log.sync().unwrap();
+            let name = log.name().to_owned();
+            let mut data = backend.read_all(&name).unwrap().unwrap();
+            data[(off2 + len2 - 5) as usize] ^= 0xFF;
+            backend.write_all(&name, &data).unwrap();
+            let read = |offset, len| LogFile::read_value_in(backend.as_ref(), &name, offset, len);
+            assert_eq!(read(off1, len1).unwrap(), b"v1");
+            assert!(matches!(
+                read(off2, len2).unwrap_err(),
+                VStoreError::Corruption(_)
+            ));
+            assert!(matches!(
+                read(off1 + 1, len1).unwrap_err(),
+                VStoreError::Corruption(_)
+            ));
+            drop(log);
+            cleanup(dir);
+        }
+    }
+
+    #[test]
+    fn record_bytes_match_the_pinned_golden() {
+        // Written by the bitwise CRC-32 this format shipped with: logs
+        // already on disk must keep scanning, byte for byte.
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let mut log = LogFile::create(Arc::clone(&backend), "", 1).unwrap();
+        log.append(b"k", b"value", false).unwrap();
+        let bytes = backend.read_all(log.name()).unwrap().unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "474c53560001000000050000006b76616c756565799315");
+        let records = LogFile::scan_buffer(&bytes, 0).unwrap();
+        assert_eq!(records[0].key, b"k");
+        assert_eq!(records[0].value, b"value");
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::backend::{LogHandle, StorageBackend};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use vstore_codec::wire::crc32;
 use vstore_types::cast::{usize_from_u32, usize_from_u64};
 use vstore_types::{Result, VStoreError};
 
@@ -160,19 +161,6 @@ impl<'a> ManifestReader<'a> {
     }
 }
 
-/// CRC32 (the value-log polynomial) over one chunk.
-fn chunk_crc(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 struct ColdInner {
     device: Arc<dyn StorageBackend>,
     manifest: Mutex<Manifest>,
@@ -197,7 +185,7 @@ impl ColdInner {
             refs.push(ChunkRef {
                 object: seq,
                 len: piece.len() as u64,
-                crc: chunk_crc(piece),
+                crc: crc32(piece),
             });
         }
         Ok(refs)
@@ -222,7 +210,7 @@ impl ColdInner {
         let data = self
             .device
             .read_at(&Self::object_name(chunk.object), 0, chunk.len)?;
-        if chunk_crc(&data) != chunk.crc {
+        if crc32(&data) != chunk.crc {
             return Err(VStoreError::corruption(format!(
                 "cold object {} failed its checksum",
                 Self::object_name(chunk.object)
@@ -555,6 +543,16 @@ mod tests {
         device.write_all(&object, &bytes).unwrap();
         let err = backend.read_all("log").unwrap_err();
         assert!(matches!(err, VStoreError::Corruption(_)), "{err}");
+    }
+
+    #[test]
+    fn chunk_crc_matches_the_pinned_golden() {
+        // Recorded by the bitwise CRC-32 cold manifests shipped with:
+        // chunks already sealed must keep verifying.
+        let backend = cold();
+        backend.write_all("log", b"precious-bytes").unwrap();
+        let crc = backend.inner.manifest.lock().logs["log"][0].crc;
+        assert_eq!(crc, 0xc32a_7eda);
     }
 
     #[test]
